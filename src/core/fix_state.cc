@@ -18,10 +18,10 @@ inline uint64_t Mix(uint64_t h, uint64_t x) {
 
 }  // namespace
 
-uint64_t ProbeKeyHash(size_t rule_idx, const Tuple& t,
-                      const std::vector<AttrId>& attrs) {
+uint64_t ProbeKeyHash(size_t rule_idx,
+                      const std::vector<uint64_t>& cell_hashes) {
   uint64_t h = Mix(kFnvOffset, static_cast<uint64_t>(rule_idx));
-  for (AttrId a : attrs) h = Mix(h, t.at(a).Hash());
+  for (uint64_t c : cell_hashes) h = Mix(h, c);
   return h;
 }
 

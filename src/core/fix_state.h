@@ -23,8 +23,8 @@ struct FixMove {
   Value value;
 };
 
-/// \brief Dependency record of one repair: every master-index probe the
-/// saturation performed, as (rule, key-values) hashes.
+/// \brief Dependency record of one repair: every distinct master-index
+/// probe the saturation performed, as (rule, key-values) hashes.
 ///
 /// A repair is a deterministic function of the input tuple, Z0, Sigma, and
 /// the answers to the RhsValues probes it issues; if none of a tuple's
@@ -33,6 +33,10 @@ struct FixMove {
 /// incremental engine (src/incremental/) therefore re-repairs exactly the
 /// tuples holding an affected probe hash. Hash collisions only ever
 /// over-invalidate (an extra re-repair), never under-invalidate.
+///
+/// Saturator::CheckUniqueFix probes each (rule, key) once per check, across
+/// its full and excluded runs, so it adds one hash per distinct probe —
+/// keys absent from the master included — and never a duplicate.
 struct ProbeLog {
   std::vector<uint64_t> hashes;
 
@@ -41,11 +45,12 @@ struct ProbeLog {
 };
 
 /// Hash of one probe: rule `rule_idx` keyed by t[attrs] (input side,
-/// `attrs` = lhs(phi)). Must stay consistent with MasterProbeKeyHash —
-/// equal value lists under the same rule produce equal hashes, which is
-/// what ties a recorded input-side probe to a master-side row projection.
-uint64_t ProbeKeyHash(size_t rule_idx, const Tuple& t,
-                      const std::vector<AttrId>& attrs);
+/// `attrs` = lhs(phi)), given as the cell hashes t[attrs[k]].Hash() in
+/// list order. Must stay consistent with MasterProbeKeyHash — equal value
+/// lists under the same rule produce equal hashes, which is what ties a
+/// recorded input-side probe to a master-side row projection.
+uint64_t ProbeKeyHash(size_t rule_idx,
+                      const std::vector<uint64_t>& cell_hashes);
 
 /// Hash of the probe key a master row answers for rule `rule_idx`:
 /// dm[row][attrs] with `attrs` = lhsm(phi). |lhs| == |lhsm| and the

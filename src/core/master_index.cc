@@ -184,21 +184,26 @@ RowSpan MasterIndex::Candidates(size_t rule_idx, const Tuple& t,
       t, probe_[rule_idx], bridge));
 }
 
-const MasterIndex::RhsSummary& MasterIndex::RhsValues(
-    size_t rule_idx, const Tuple& t, PoolBridge* bridge) const {
+const MasterIndex::RhsSummary& MasterIndex::RhsValuesByKey(
+    size_t rule_idx, const IdKey& key) const {
   const ValueIndex& vi =
       *value_indexes_[static_cast<size_t>(rule_to_value_[rule_idx])];
   if (probe_[rule_idx].empty()) return vi.all_rows_summary;
-  thread_local IdKey key;  // reused across probes, no per-probe allocation
-  if (!ProjectIds(t, probe_[rule_idx], dm_->pool().get(), bridge, &key)) {
-    return kEmptySummary;
-  }
   if (kind_ == IndexKind::kFlat) {
     const uint32_t slot = vi.table.Find(key.data());
     return slot == FlatIdTable::kNotFound ? kEmptySummary : vi.summaries[slot];
   }
   auto it = vi.map.find(key);
   return it == vi.map.end() ? kEmptySummary : it->second;
+}
+
+const MasterIndex::RhsSummary& MasterIndex::RhsValues(
+    size_t rule_idx, const Tuple& t, PoolBridge* bridge) const {
+  thread_local IdKey key;  // reused across probes, no per-probe allocation
+  if (!ProjectIds(t, probe_[rule_idx], dm_->pool().get(), bridge, &key)) {
+    return kEmptySummary;
+  }
+  return RhsValuesByKey(rule_idx, key);
 }
 
 void MasterIndex::PrefetchRhsProbes(const Tuple& t,

@@ -74,8 +74,15 @@ class MasterIndex {
   RowSpan Candidates(size_t rule_idx, const Tuple& t,
                      PoolBridge* bridge = nullptr) const;
 
-  /// Distinct values tm[Bm] over the candidate rows, each with one
-  /// representative row. Size > 1 means conflicting master proposals.
+  /// Distinct values tm[Bm] over the master rows whose Xm ids equal `key`
+  /// (t[X] already projected into master-pool ids, in lhs order), each
+  /// with one representative row. Size > 1 means conflicting master
+  /// proposals. The index's one probe path: the saturation engine keys its
+  /// per-check probe cache on these ids and calls this directly.
+  const RhsSummary& RhsValuesByKey(size_t rule_idx, const IdKey& key) const;
+
+  /// RhsValuesByKey on t's projection onto lhs(phi); empty when some
+  /// projected value is absent from the master pool.
   const RhsSummary& RhsValues(size_t rule_idx, const Tuple& t,
                               PoolBridge* bridge = nullptr) const;
 

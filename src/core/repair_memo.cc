@@ -58,6 +58,7 @@ void RepairMemo::Insert(const Tuple& row, const TupleRepair& repair,
     entry.probes.erase(
         std::unique(entry.probes.begin(), entry.probes.end()),
         entry.probes.end());
+    entry.probes.shrink_to_fit();  // held per entry: keep no slack
   }
 
   uint32_t slot;

@@ -51,21 +51,28 @@ struct SaturationResult {
 
 /// \brief Saturation engine bound to (Sigma, Dm) plus its hash indexes.
 ///
+/// A check saturates on ids in per-thread scratch state: each attribute
+/// holds a pointer to its current value (the input cell, or the master
+/// summary value a move fixed it to), its master-pool id, bridged lazily
+/// once per check, and its Value::Hash(), computed lazily for the probe
+/// log. Runs copy no tuple and intern nothing; only the result of the full
+/// run is materialized, once, at its end.
+///
 /// Thread safety: a fully constructed Saturator is safe for concurrent
-/// use — Saturate / SaturateExcluding / CheckUniqueFix keep all mutable
-/// state on the stack, the referenced RuleSet / Relation / MasterIndex
+/// use — Saturate / CheckUniqueFix keep all mutable state on the stack or
+/// in thread-local scratch, the referenced RuleSet / Relation / MasterIndex
 /// are never written, and the one lazily initialized member (the Dom()
-/// cache) is guarded by a mutex — with ONE storage-layer caveat: applying
-/// a move interns the fixed value into the *input tuple's* ValuePool,
-/// which is not synchronized (value_pool.h). Concurrent saturations are
-/// therefore safe only when each thread's input tuples use a
-/// thread-owned pool — the parallel BatchRepair rebases every shard's
-/// rows into a shard-local pool for exactly this reason. Saturating
-/// tuples of one shared relation from multiple threads without rebasing
-/// is a data race. (Single-threaded callers are unaffected, though note
-/// that saturating rel.at(i) may append fix values to rel's pool — an
-/// append-only, content-invisible mutation.) SetDomHint must not race
-/// with readers.
+/// cache) is guarded by a mutex — with ONE storage-layer caveat: the full
+/// run's result interns its fixed values, once, into the *input tuple's*
+/// ValuePool, which is not synchronized (value_pool.h). Concurrent
+/// saturations are therefore safe only when each thread's input tuples
+/// use a thread-owned pool — the parallel BatchRepair rebases every
+/// shard's rows into a shard-local pool for exactly this reason.
+/// Saturating tuples of one shared relation from multiple threads without
+/// rebasing is a data race. (Single-threaded callers are unaffected, though
+/// note that saturating rel.at(i) may append fix values to rel's pool — an
+/// append-only, content-invisible mutation.) SetDomHint must not race with
+/// readers.
 class Saturator {
  public:
   Saturator(const RuleSet& rules, const Relation& dm,
@@ -77,20 +84,23 @@ class Saturator {
   /// here, the complete check is CheckUniqueFix below.
   SaturationResult Saturate(const Tuple& t, AttrSet z0) const;
 
-  /// Saturation that never validates `excluded`; all values proposed for
-  /// `excluded` across the run are appended to `proposals` (deduplicated).
-  SaturationResult SaturateExcluding(const Tuple& t, AttrSet z0,
-                                     AttrId excluded,
-                                     std::vector<Value>* proposals) const;
-
   /// Exact unique-fix decision (and the fix itself when unique): full
-  /// saturation plus one excluded saturation per covered target attribute.
-  /// Mirrors the consistency algorithm in the proof of Theorem 4.
+  /// saturation plus one B-excluded saturation (never validating B) per
+  /// covered target attribute B, stopping at the first conflict. Mirrors
+  /// the consistency algorithm in the proof of Theorem 4.
+  ///
+  /// The result is the full run's: `fixed`, `covered` and `steps`, plus
+  /// every conflict found. A conflict from an excluded run names the two
+  /// rules that proposed distinct values for B, or, when the excluded run
+  /// itself met a same-round conflict, that run's conflicts.
+  ///
   /// `bridge`, when given, must translate t's pool into the master pool;
   /// long-lived callers (BatchRepair shards) pass one bridge across many
   /// rows so each distinct input value is hashed once per shard, not once
-  /// per row. Null builds a per-call bridge. `probes`, when given, records
-  /// every master-index probe across the full and excluded runs — the
+  /// per row. Null (or a bridge over other pools) builds a per-call
+  /// bridge. Each (rule, key) is probed once per check, across the full
+  /// and the excluded runs. `probes`, when given, receives one hash per
+  /// distinct probe, keys absent from the master included — the
   /// dependency set the incremental engine invalidates on (fix_state.h).
   SaturationResult CheckUniqueFix(const Tuple& t, AttrSet z0,
                                   PoolBridge* bridge = nullptr,
@@ -114,16 +124,6 @@ class Saturator {
   void SetDomHint(const std::set<Value>* dom) { dom_hint_ = dom; }
 
  private:
-  // Shared round loop; excluded < 0 disables exclusion. `bridge` is the
-  // caller-owned id translation from t's pool into the master pool, reused
-  // across the rounds (and, for CheckUniqueFix, across the per-attribute
-  // excluded runs) so each distinct input value is hashed at most once.
-  // `probes`, when non-null, records a ProbeKeyHash for every RhsValues
-  // call this run performs.
-  SaturationResult Run(const Tuple& t, AttrSet z0, int excluded,
-                       std::vector<Value>* proposals, PoolBridge* bridge,
-                       ProbeLog* probes = nullptr) const;
-
   const RuleSet* rules_;
   const Relation* dm_;
   const MasterIndex* index_;

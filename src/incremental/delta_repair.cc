@@ -311,6 +311,7 @@ void DeltaRepairEngine::WorkerLoop(size_t shard) {
     std::vector<size_t> first_round;
     std::vector<Job> batch;
     std::vector<Tuple> rows;
+    ProbeLog probes;
     batch.reserve(kProbeBlock);
     rows.reserve(kProbeBlock);
     while (queues_[shard]->PopBatch(&batch, kProbeBlock) > 0) {
@@ -355,7 +356,7 @@ void DeltaRepairEngine::WorkerLoop(size_t shard) {
       // ...then resolve: repair in seq order while lines are in flight.
       for (size_t j = 0; j < rows.size(); ++j) {
         const Tuple& row = rows[j];
-        ProbeLog probes;
+        probes.Clear();
         const uint64_t hits_before = memo != nullptr ? memo->hits() : 0;
         TupleRepair r = RepairOneTuple(sat, row, trusted_, all_,
                                        bridge.get(), &probes, memo.get());
@@ -363,7 +364,8 @@ void DeltaRepairEngine::WorkerLoop(size_t shard) {
         done.seq = batch[j].seq;
         done.slot = batch[j].slot;
         done.report = r.report;
-        done.probes = std::move(probes.hashes);
+        // An exact-size copy; the log keeps its capacity for the next row.
+        done.probes = probes.hashes;
         if (memo != nullptr) {
           done.memo = memo->hits() > hits_before ? 1 : 0;
         }
@@ -429,7 +431,7 @@ void DeltaRepairEngine::UnregisterProbes(uint32_t slot) {
     v.erase(std::remove(v.begin(), v.end(), slot), v.end());
     if (v.empty()) probe_to_slots_.erase(it);
   }
-  slot_probes_[slot].clear();
+  slot_probes_[slot] = std::vector<uint64_t>();  // dead slots keep nothing
 }
 
 void DeltaRepairEngine::ApplyResult(Done& d) {
@@ -445,6 +447,7 @@ void DeltaRepairEngine::ApplyResult(Done& d) {
   std::sort(d.probes.begin(), d.probes.end());
   d.probes.erase(std::unique(d.probes.begin(), d.probes.end()),
                  d.probes.end());
+  d.probes.shrink_to_fit();  // held per live row: keep no slack
   for (uint64_t h : d.probes) probe_to_slots_[h].push_back(slot);
   slot_probes_[slot] = std::move(d.probes);
 

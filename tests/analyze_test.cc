@@ -134,6 +134,31 @@ TEST_F(AnalyzerSupplierTest, ConflictFoundWithWitness) {
   EXPECT_NE(first->message.find("conflicting fixes"), std::string::npos);
 }
 
+TEST(AnalyzerCrossRoundTest, ConflictBlamesBothProposingRules) {
+  // phi_b proposes b in round 1 and phi_late a different b in round 2
+  // (after phi_c fixes c): a cross-round conflict only the b-excluded run
+  // sees. The diagnostic must name those two rules, not rule #0 twice.
+  SchemaPtr r = Schema::Make("R", std::vector<std::string>{"k", "c", "b"});
+  SchemaPtr rm =
+      Schema::Make("Rm", std::vector<std::string>{"K", "C", "B", "B2"});
+  Relation dm(rm);
+  ASSERT_TRUE(dm.AppendStrings({"k1", "c1", "x", "y"}).ok());
+  Result<RuleSet> rules = ParseRules(R"(
+    rule phi_c: (k | K) -> (c | C)
+    rule phi_b: (k | K) -> (b | B)
+    rule phi_late: (c | C) -> (b | B2)
+  )", r, rm);
+  ASSERT_TRUE(rules.ok()) << rules.status().ToString();
+  RulesetAnalyzer analyzer(*rules);
+  RulesetReport report = analyzer.Analyze(&dm, Attrs(r, {"k"}));
+  const Diagnostic* first = report.FirstError();
+  ASSERT_NE(first, nullptr) << report.ToText();
+  EXPECT_EQ(first->kind, DiagnosticKind::kRuleConflict);
+  EXPECT_EQ(first->rules, (std::vector<std::string>{"phi_b", "phi_late"}));
+  EXPECT_EQ(first->attr, "b");
+  EXPECT_EQ(report.errors(), 1u) << report.ToText();
+}
+
 TEST_F(AnalyzerSupplierTest, DeadRuleWhenTargetTrusted) {
   // zip trusted makes phi8 (AC, phn -> zip) pointless.
   RulesetAnalyzer analyzer(rules_);

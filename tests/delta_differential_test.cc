@@ -165,6 +165,52 @@ TEST_F(DeltaSupplierTest, MasterInsertRepairsPreviouslyUnmatchedTuple) {
   ExpectMatchesScratch(&engine, rules_, trusted, "unmatched-then-insert");
 }
 
+TEST_F(DeltaSupplierTest, AbsentKeyProbedOnceStillInvalidates) {
+  // A dirty zip no master row carries: phi1-phi3 probe it in every round
+  // of every run of the check, yet it is recorded once per check. A
+  // master insert creating that zip must still re-repair both rows (the
+  // second one a memo replay when the memo is on). The new master row
+  // shares no phone with s1, so only the zip probes tie it to the rows.
+  AttrSet trusted = Attrs(r_, {"zip", "phn", "type"});
+  Tuple dirty = T1(r_);
+  dirty.Set(A(r_, "zip"), Value::Str("ZZ9 9ZZ"));
+  Tuple s3(rm_, dm_.pool());
+  Tuple s1 = dm_.at(0);
+  for (size_t a = 0; a < rm_->num_attrs(); ++a) {
+    s3.Set(static_cast<AttrId>(a), s1.at(static_cast<AttrId>(a)));
+  }
+  s3.Set(A(rm_, "zip"), Value::Str("ZZ9 9ZZ"));
+  s3.Set(A(rm_, "AC"), Value::Str("0999"));
+  s3.Set(A(rm_, "city"), Value::Str("Ztown"));
+  s3.Set(A(rm_, "Hphn"), Value::Str("0000000"));
+  s3.Set(A(rm_, "Mphn"), Value::Str("0000001"));
+  for (bool memo : {false, true}) {
+    for (size_t shards : {1, 2, 8}) {
+      std::string label = "memo=" + std::to_string(memo) +
+                          " shards=" + std::to_string(shards);
+      DeltaRepairOptions options;
+      options.num_shards = shards;
+      options.use_memo = memo;
+      DeltaRepairEngine engine(rules_, dm_, trusted, options);
+      ASSERT_TRUE(engine.Insert(dirty).ok());
+      ASSERT_TRUE(engine.Insert(dirty).ok());
+      Relation before = engine.SnapshotRepaired();
+      EXPECT_EQ(before.Cell(0, A(r_, "AC")).as_string(), "020") << label;
+      EXPECT_EQ(before.Cell(0, A(r_, "fn")).as_string(), "Robert") << label;
+
+      ASSERT_TRUE(engine.MasterInsert(s3).ok());
+      EXPECT_EQ(engine.stats().tuples_invalidated, 2u) << label;
+      Relation after = engine.SnapshotRepaired();
+      for (size_t row = 0; row < 2; ++row) {
+        EXPECT_EQ(after.Cell(row, A(r_, "AC")).as_string(), "0999") << label;
+        EXPECT_EQ(after.Cell(row, A(r_, "city")).as_string(), "Ztown")
+            << label;
+      }
+      ExpectMatchesScratch(&engine, rules_, trusted, label);
+    }
+  }
+}
+
 TEST_F(DeltaSupplierTest, RejectsBadPositionsAndSchemas) {
   AttrSet trusted = Attrs(r_, {"AC", "phn", "type", "zip"});
   DeltaRepairEngine engine(rules_, dm_, trusted);
