@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -17,6 +18,7 @@ namespace {
 
 constexpr uint32_t kWalVersion = 1;
 constexpr size_t kWalHeaderSize = 16;
+constexpr size_t kFrameHeaderSize = 8;  // payload_len u32, payload_crc u32
 /// Frames longer than this are treated as a torn length field, not a
 /// record (deltas are rows, not blobs).
 constexpr uint32_t kMaxPayload = 1u << 30;
@@ -101,23 +103,35 @@ void ScanFrames(const std::string& bytes, WalScan* scan) {
   const uint8_t* base = reinterpret_cast<const uint8_t*>(bytes.data());
   uint64_t pos = kWalHeaderSize;
   scan->boundaries.push_back(pos);
-  while (pos + 8 <= bytes.size()) {
+  while (pos + kFrameHeaderSize <= bytes.size()) {
     uint32_t len = ReadU32(base + pos);
     uint32_t crc = ReadU32(base + pos + 4);
-    if (len > kMaxPayload || pos + 8 + len > bytes.size()) break;
-    if (Crc32(base + pos + 8, len) != crc) break;
-    pos += 8 + len;
+    if (len == 0) break;  // payloads are never empty: zero fill or torn
+    if (len > kMaxPayload || pos + kFrameHeaderSize + len > bytes.size()) {
+      break;
+    }
+    if (Crc32(base + pos + kFrameHeaderSize, len) != crc) break;
+    pos += kFrameHeaderSize + len;
     scan->boundaries.push_back(pos);
   }
   scan->tail_offset = pos;
-  scan->discarded_bytes = bytes.size() - pos;
+  const uint64_t rest = bytes.size() - pos;
+  // The writer keeps its fill at zero or at least one frame header long,
+  // so a shorter all-zero tail is the start of a torn frame.
+  const bool fill =
+      rest >= kFrameHeaderSize &&
+      std::all_of(bytes.begin() + static_cast<std::ptrdiff_t>(pos),
+                  bytes.end(), [](char c) { return c == 0; });
+  scan->fill_bytes = fill ? rest : 0;
+  scan->discarded_bytes = fill ? 0 : rest;
 }
 
-Status WriteAll(int fd, const char* data, size_t len,
-                const std::string& path) {
+Status WriteAllAt(int fd, const char* data, size_t len, uint64_t offset,
+                  const std::string& path) {
   size_t off = 0;
   while (off < len) {
-    ssize_t n = ::write(fd, data + off, len - off);
+    ssize_t n = ::pwrite(fd, data + off, len - off,
+                         static_cast<off_t>(offset + off));
     if (n < 0) {
       if (errno == EINTR) continue;
       return Errno("write", path);
@@ -125,6 +139,16 @@ Status WriteAll(int fd, const char* data, size_t len,
     off += static_cast<size_t>(n);
   }
   return Status::OK();
+}
+
+/// Flushes the file's data and the metadata needed to read it back —
+/// not its timestamps, which recovery never reads.
+int DataSync(int fd) {
+#if defined(__linux__)
+  return ::fdatasync(fd);
+#else
+  return ::fsync(fd);
+#endif
 }
 
 /// CSV codec behind the shared DeltaSource interface, owning its stream.
@@ -149,14 +173,17 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Create(const std::string& path,
   int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
   if (fd < 0) return Errno("open", path);
   std::string header = WalHeader();
-  Status st = WriteAll(fd, header.data(), header.size(), path);
-  if (st.ok() && ::fsync(fd) != 0) st = Errno("fsync", path);
+  Status st = WriteAllAt(fd, header.data(), header.size(), 0, path);
   if (!st.ok()) {
     ::close(fd);
     return st;
   }
-  return std::unique_ptr<WalWriter>(
-      new WalWriter(fd, kWalHeaderSize, options));
+  std::unique_ptr<WalWriter> writer(
+      new WalWriter(fd, kWalHeaderSize, kWalHeaderSize, options));
+  CERTFIX_RETURN_IF_ERROR(
+      writer->FillTo(kWalHeaderSize + kFrameHeaderSize));
+  if (::fsync(fd) != 0) return Errno("fsync", path);
+  return writer;
 }
 
 Result<std::unique_ptr<WalWriter>> WalWriter::OpenForAppend(
@@ -172,17 +199,29 @@ Result<std::unique_ptr<WalWriter>> WalWriter::OpenForAppend(
     ::close(fd);
     return Errno("ftruncate", path);
   }
-  if (::lseek(fd, static_cast<off_t>(scan.tail_offset), SEEK_SET) < 0) {
-    ::close(fd);
-    return Errno("lseek", path);
-  }
   if (valid_records != nullptr) *valid_records = scan.boundaries.size() - 1;
   return std::unique_ptr<WalWriter>(
-      new WalWriter(fd, scan.tail_offset, options));
+      new WalWriter(fd, scan.tail_offset, scan.tail_offset + scan.fill_bytes,
+                    options));
 }
 
 WalWriter::~WalWriter() {
-  if (fd_ >= 0) ::close(fd_);
+  if (fd_ < 0) return;
+  if (filled_ > offset_) (void)::ftruncate(fd_, static_cast<off_t>(offset_));
+  ::close(fd_);
+}
+
+Status WalWriter::FillTo(uint64_t end) {
+  static const std::string kZeros(kWalFillBytes, '\0');
+  while (filled_ < end) {
+    // Up to the next kWalFillBytes boundary, so fills are whole blocks.
+    const uint64_t step = kWalFillBytes - filled_ % kWalFillBytes;
+    CERTFIX_RETURN_IF_ERROR(WriteAllAt(fd_, kZeros.data(),
+                                       static_cast<size_t>(step), filled_,
+                                       "wal"));
+    filled_ += step;
+  }
+  return Status::OK();
 }
 
 Status WalWriter::Append(const Delta& delta) {
@@ -193,7 +232,11 @@ Status WalWriter::Append(const Delta& delta) {
   PutU32(&frame, static_cast<uint32_t>(payload.size()));
   PutU32(&frame, Crc32(payload.data(), payload.size()));
   frame += payload;
-  CERTFIX_RETURN_IF_ERROR(WriteAll(fd_, frame.data(), frame.size(), "wal"));
+  // Keep a full frame header of fill past the record, so the scan never
+  // takes the fill for a torn frame.
+  CERTFIX_RETURN_IF_ERROR(FillTo(offset_ + frame.size() + kFrameHeaderSize));
+  CERTFIX_RETURN_IF_ERROR(
+      WriteAllAt(fd_, frame.data(), frame.size(), offset_, "wal"));
   offset_ += frame.size();
   ++records_;
   CERTFIX_TL_COUNTER("wal.appends")->Increment();
@@ -203,7 +246,7 @@ Status WalWriter::Append(const Delta& delta) {
 }
 
 Status WalWriter::Sync() {
-  if (::fsync(fd_) != 0) return Errno("fsync", "wal");
+  if (DataSync(fd_) != 0) return Errno("fdatasync", "wal");
   CERTFIX_TL_COUNTER("wal.fsyncs")->Increment();
   return Status::OK();
 }

@@ -288,6 +288,59 @@ TEST(CrashRecoveryTest, RecoveredSessionContinuesIdentically) {
                        "continued final");
 }
 
+TEST(CrashRecoveryTest, KillImageWithZeroFillRecoversEveryAcknowledgedDelta) {
+  // A session killed mid-run leaves its WAL with the writer's zero fill
+  // after the last record (a closed session truncates it). Recovery must
+  // read that fill as a clean tail and append over it.
+  uint64_t seed = NextSeed();
+  SCOPED_TRACE("seed=" + std::to_string(seed));
+  World w = MakeWorld(seed, 24);
+  size_t half = w.deltas.size() / 2;
+  DurableOptions options;
+
+  std::string live_dir = FreshDir("fill_live");
+  std::string image_dir = FreshDir("fill_image");
+  std::string want_half;
+  std::string want;
+  {
+    Result<std::unique_ptr<DurableSession>> live = DurableSession::Create(
+        live_dir, w.rules, w.master, w.input, w.trusted, options);
+    ASSERT_TRUE(live.ok()) << live.status();
+    for (size_t i = 0; i < half; ++i) {
+      ASSERT_TRUE((*live)->Apply(w.deltas[i]).ok());
+    }
+    want_half = ToCsv((*live)->engine().SnapshotRepaired());
+    CopyDir(live_dir, image_dir);  // the disk a kill -9 would leave
+    for (size_t i = half; i < w.deltas.size(); ++i) {
+      ASSERT_TRUE((*live)->Apply(w.deltas[i]).ok());
+    }
+    want = ToCsv((*live)->engine().SnapshotRepaired());
+  }
+  Result<storage::WalScan> scan = storage::ScanWal(image_dir + "/wal-0.log");
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  EXPECT_GT(scan->fill_bytes, 0u);
+
+  Result<std::unique_ptr<DurableSession>> resumed =
+      DurableSession::Open(image_dir, options);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  std::unique_ptr<DurableSession> session = std::move(resumed).ValueOrDie();
+  EXPECT_EQ(session->recovery().replayed_records, half);
+  EXPECT_EQ(session->recovery().discarded_bytes, 0u);
+  EXPECT_EQ(ToCsv(session->engine().SnapshotRepaired()), want_half);
+  for (size_t i = half; i < w.deltas.size(); ++i) {
+    ASSERT_TRUE(session->Apply(w.deltas[i]).ok()) << "delta " << i;
+  }
+  EXPECT_EQ(ToCsv(session->engine().SnapshotRepaired()), want);
+  session.reset();  // close the WAL
+
+  // The reopened log holds every delta once, in order, and no fill.
+  Result<storage::WalScan> after = storage::ScanWal(image_dir + "/wal-0.log");
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(after->boundaries.size(), w.deltas.size() + 1);
+  EXPECT_EQ(after->fill_bytes, 0u);
+  EXPECT_EQ(after->discarded_bytes, 0u);
+}
+
 TEST(CrashRecoveryTest, SnapshotRotationCommitsAndRecovers) {
   uint64_t seed = NextSeed();
   SCOPED_TRACE("seed=" + std::to_string(seed));

@@ -1,8 +1,9 @@
 /// \file wal_test.cc
 /// \brief Crash-safety tests for the binary WAL (storage/wal.h): delta
 /// round trips with hostile payloads, torn-tail recovery at every byte
-/// offset, corrupt-frame handling, append-after-crash, and the codec
-/// sniff that keeps the CSV delta-log readable.
+/// offset, corrupt-frame handling, append-after-crash, the zero fill a
+/// writer keeps ahead of its appends, and the codec sniff that keeps the
+/// CSV delta-log readable.
 
 #include "storage/wal.h"
 
@@ -264,6 +265,122 @@ TEST(WalTest, OpenForAppendTruncatesTornTailAndContinues) {
   ASSERT_TRUE(end.ok());
   EXPECT_FALSE(*end);
   EXPECT_EQ((*reader)->discarded_bytes(), 0u);
+}
+
+/// Reads every intact record of `path`, expecting a clean tail.
+std::vector<Delta> ReadAllClean(const std::string& path) {
+  std::vector<Delta> out;
+  Result<std::unique_ptr<storage::WalReader>> reader =
+      storage::WalReader::Open(path);
+  EXPECT_TRUE(reader.ok()) << reader.status();
+  if (!reader.ok()) return out;
+  Delta got;
+  for (;;) {
+    Result<bool> more = (*reader)->Next(&got);
+    EXPECT_TRUE(more.ok()) << more.status();
+    if (!more.ok() || !*more) break;
+    out.push_back(got);
+  }
+  EXPECT_EQ((*reader)->discarded_bytes(), 0u) << path;
+  return out;
+}
+
+TEST(WalTest, OpenWriterKeepsZeroFillThatReadsAsCleanTail) {
+  std::vector<Delta> deltas = HostileDeltas();
+  std::string path = ::testing::TempDir() + "/fill.wal";
+  std::string image = ::testing::TempDir() + "/fill_crash.wal";
+  {
+    Result<std::unique_ptr<storage::WalWriter>> writer =
+        storage::WalWriter::Create(path);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    for (const Delta& d : deltas) ASSERT_TRUE((*writer)->Append(d).ok());
+    // What a crash now would leave on disk: the records, then zeros.
+    std::string bytes = ReadFileOrDie(path);
+    ASSERT_GT(bytes.size(), (*writer)->tail_offset());
+    EXPECT_EQ(bytes.size() % storage::kWalFillBytes, 0u);
+    WriteRaw(image, bytes);
+
+    Result<storage::WalScan> scan = storage::ScanWal(image);
+    ASSERT_TRUE(scan.ok()) << scan.status();
+    EXPECT_EQ(scan->boundaries.size(), deltas.size() + 1);
+    EXPECT_EQ(scan->tail_offset, (*writer)->tail_offset());
+    EXPECT_EQ(scan->fill_bytes, bytes.size() - scan->tail_offset);
+    EXPECT_EQ(scan->discarded_bytes, 0u);
+  }
+  // Closing truncates the fill: the file ends at its last record.
+  Result<storage::WalScan> closed = storage::ScanWal(path);
+  ASSERT_TRUE(closed.ok());
+  EXPECT_EQ(closed->fill_bytes, 0u);
+  EXPECT_EQ(closed->tail_offset, ReadFileOrDie(path).size());
+
+  std::vector<Delta> got = ReadAllClean(image);
+  ASSERT_EQ(got.size(), deltas.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ExpectDeltasEqual(got[i], deltas[i], "record " + std::to_string(i));
+  }
+
+  // Recovery appends over the fill, not after it.
+  uint64_t valid = 0;
+  Result<std::unique_ptr<storage::WalWriter>> reopened =
+      storage::WalWriter::OpenForAppend(image, {}, &valid);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  std::unique_ptr<storage::WalWriter> appender =
+      std::move(reopened).ValueOrDie();
+  EXPECT_EQ(valid, deltas.size());
+  EXPECT_EQ(appender->tail_offset(), closed->tail_offset);
+  Delta extra;
+  extra.kind = DeltaKind::kDelete;
+  extra.row = 42;
+  ASSERT_TRUE(appender->Append(extra).ok());
+  appender.reset();  // close before reading
+  got = ReadAllClean(image);
+  ASSERT_EQ(got.size(), deltas.size() + 1);
+  ExpectDeltasEqual(got.back(), extra, "appended over the fill");
+}
+
+TEST(WalTest, FillGrowsAheadOfLargeAppends) {
+  // One record longer than a fill step: the writer fills past it.
+  std::string path = ::testing::TempDir() + "/fill_grow.wal";
+  Delta big;
+  big.kind = DeltaKind::kInsert;
+  big.fields = {std::string(storage::kWalFillBytes + 100, 'y')};
+  {
+    Result<std::unique_ptr<storage::WalWriter>> writer =
+        storage::WalWriter::Create(path);
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE((*writer)->Append(big).ok());
+    ASSERT_TRUE((*writer)->Append(big).ok());
+    Result<storage::WalScan> scan = storage::ScanWal(path);
+    ASSERT_TRUE(scan.ok());
+    EXPECT_EQ(scan->boundaries.size(), 3u);
+    EXPECT_GE(scan->fill_bytes, 8u);
+    EXPECT_EQ(scan->discarded_bytes, 0u);
+  }
+  std::vector<Delta> got = ReadAllClean(path);
+  ASSERT_EQ(got.size(), 2u);
+  ExpectDeltasEqual(got[1], big, "second big record");
+}
+
+TEST(WalTest, ZeroTailShorterThanAFrameHeaderIsTorn) {
+  // The writer never leaves 1-7 bytes of fill, so such a tail is the
+  // start of a torn frame — for instance a length field whose low byte
+  // is zero.
+  std::string path = WriteWal("short_zero.wal", HostileDeltas());
+  std::string bytes = ReadFileOrDie(path);
+  for (size_t n = 1; n < 8; ++n) {
+    WriteRaw(path, bytes + std::string(n, '\0'));
+    Result<storage::WalScan> scan = storage::ScanWal(path);
+    ASSERT_TRUE(scan.ok());
+    EXPECT_EQ(scan->tail_offset, bytes.size()) << n;
+    EXPECT_EQ(scan->fill_bytes, 0u) << n;
+    EXPECT_EQ(scan->discarded_bytes, n) << n;
+  }
+  // Zeros followed by anything else are torn too, fill-length or not.
+  WriteRaw(path, bytes + std::string(16, '\0') + "x");
+  Result<storage::WalScan> scan = storage::ScanWal(path);
+  ASSERT_TRUE(scan.ok());
+  EXPECT_EQ(scan->fill_bytes, 0u);
+  EXPECT_EQ(scan->discarded_bytes, 17u);
 }
 
 TEST(WalTest, OpenDeltaLogSniffsBothCodecs) {
